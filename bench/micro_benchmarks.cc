@@ -70,15 +70,6 @@ void BM_Sha1(benchmark::State& state) {
 }
 BENCHMARK(BM_Sha1)->Arg(4096)->Arg(65536)->Arg(1 << 20);
 
-void BM_Sha256(benchmark::State& state) {
-  std::string data = MakeData(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(Sha256::Hash(data.data(), data.size()));
-  }
-  state.SetBytesProcessed(state.iterations() * data.size());
-}
-BENCHMARK(BM_Sha256)->Arg(4096)->Arg(65536);
-
 void BM_BloomAddContain(benchmark::State& state) {
   index::BloomFilter bloom(1 << 20);
   std::vector<Fingerprint> fps;

@@ -1,6 +1,15 @@
 #include "common/hash.h"
 
+#include <algorithm>
 #include <cstring>
+#include <utility>
+
+#include "common/sha1_kernels.h"
+
+#if defined(__x86_64__)
+#include <cpuid.h>
+#include <immintrin.h>
+#endif
 
 namespace slim {
 
@@ -17,10 +26,6 @@ int HexValue(char c) {
 
 inline uint32_t RotL32(uint32_t x, int n) {
   return (x << n) | (x >> (32 - n));
-}
-
-inline uint32_t RotR32(uint32_t x, int n) {
-  return (x >> n) | (x << (32 - n));
 }
 
 inline uint32_t LoadBe32(const uint8_t* p) {
@@ -62,24 +67,17 @@ Fingerprint Fingerprint::FromHex(std::string_view hex) {
 // SHA-1
 // ---------------------------------------------------------------------------
 
-void Sha1::Reset() {
-  h_[0] = 0x67452301;
-  h_[1] = 0xEFCDAB89;
-  h_[2] = 0x98BADCFE;
-  h_[3] = 0x10325476;
-  h_[4] = 0xC3D2E1F0;
-  total_len_ = 0;
-  buffer_len_ = 0;
-}
+namespace sha1_kernels {
+namespace {
 
-void Sha1::ProcessBlock(const uint8_t* block) {
+void PortableBlock(uint32_t* state, const uint8_t* block) {
   // Unrolled with a 16-word circular schedule (classic fast software
-  // SHA-1); fingerprinting dominates dedup CPU time, so this path is
-  // deliberately hand-tuned.
+  // SHA-1).
   uint32_t w[16];
   for (int i = 0; i < 16; ++i) w[i] = LoadBe32(block + 4 * i);
 
-  uint32_t a = h_[0], b = h_[1], c = h_[2], d = h_[3], e = h_[4];
+  uint32_t a = state[0], b = state[1], c = state[2], d = state[3],
+           e = state[4];
 
 #define SLIM_SHA1_W(t)                                                  \
   (w[(t)&15] = RotL32(w[((t)-3) & 15] ^ w[((t)-8) & 15] ^               \
@@ -162,11 +160,119 @@ void Sha1::ProcessBlock(const uint8_t* block) {
 #undef SLIM_R3
 #undef SLIM_R4
 
-  h_[0] += a;
-  h_[1] += b;
-  h_[2] += c;
-  h_[3] += d;
-  h_[4] += e;
+  state[0] += a;
+  state[1] += b;
+  state[2] += c;
+  state[3] += d;
+  state[4] += e;
+}
+
+#if defined(__x86_64__)
+
+// Rounds 4k..4k+3 on SHA-NI. m[] holds the rolling 16-word message
+// schedule; e[k & 1] carries the E term into this step while
+// e[(k + 1) & 1] saves ABCD for the next one.
+template <int k>
+__attribute__((target("sha,sse4.1"))) inline void ShaNiStep(
+    __m128i& abcd, __m128i (&m)[4], __m128i (&e)[2]) {
+  if constexpr (k == 0) {
+    e[0] = _mm_add_epi32(e[0], m[0]);
+  } else {
+    e[k & 1] = _mm_sha1nexte_epu32(e[k & 1], m[k % 4]);
+  }
+  e[(k + 1) & 1] = abcd;
+  if constexpr (k >= 3 && k <= 18) {
+    m[(k + 1) % 4] = _mm_sha1msg2_epu32(m[(k + 1) % 4], m[k % 4]);
+  }
+  abcd = _mm_sha1rnds4_epu32(abcd, e[k & 1], k / 5);
+  if constexpr (k >= 1 && k <= 16) {
+    m[(k + 3) % 4] = _mm_sha1msg1_epu32(m[(k + 3) % 4], m[k % 4]);
+  }
+  if constexpr (k >= 2 && k <= 17) {
+    m[(k + 2) % 4] = _mm_xor_si128(m[(k + 2) % 4], m[k % 4]);
+  }
+}
+
+template <int... k>
+__attribute__((target("sha,sse4.1"))) inline void ShaNiRounds(
+    __m128i& abcd, __m128i (&m)[4], __m128i (&e)[2],
+    std::integer_sequence<int, k...>) {
+  (ShaNiStep<k>(abcd, m, e), ...);
+}
+
+__attribute__((target("sha,sse4.1"))) void ShaNi(uint32_t* state,
+                                                 const uint8_t* blocks,
+                                                 size_t nblocks) {
+  // Reverses the bytes of a 16-byte load: SHA-1 words are big-endian.
+  const __m128i byte_swap =
+      _mm_set_epi64x(0x0001020304050607LL, 0x08090a0b0c0d0e0fLL);
+  __m128i abcd = _mm_shuffle_epi32(
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(state)), 0x1B);
+  __m128i e0 = _mm_set_epi32(static_cast<int>(state[4]), 0, 0, 0);
+  for (; nblocks > 0; --nblocks, blocks += 64) {
+    const __m128i abcd_in = abcd;
+    const __m128i e_in = e0;
+    __m128i m[4];
+    for (size_t i = 0; i < 4; ++i) {
+      m[i] = _mm_shuffle_epi8(
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(blocks + 16 * i)),
+          byte_swap);
+    }
+    __m128i e[2] = {e0, e0};
+    ShaNiRounds(abcd, m, e, std::make_integer_sequence<int, 20>());
+    e0 = _mm_sha1nexte_epu32(e[0], e_in);
+    abcd = _mm_add_epi32(abcd, abcd_in);
+  }
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state),
+                   _mm_shuffle_epi32(abcd, 0x1B));
+  state[4] = static_cast<uint32_t>(_mm_extract_epi32(e0, 3));
+}
+
+#endif  // __x86_64__
+
+Sha1::Compress Picked() {
+  static const Sha1::Compress picked = [] {
+    Sha1::Compress hardware = Hardware();
+    return hardware != nullptr ? hardware : Portable;
+  }();
+  return picked;
+}
+
+}  // namespace
+
+void Portable(uint32_t* state, const uint8_t* blocks, size_t nblocks) {
+  for (; nblocks > 0; --nblocks, blocks += 64) PortableBlock(state, blocks);
+}
+
+Sha1::Compress Hardware() {
+#if defined(__x86_64__)
+  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+  if (__get_cpuid(1, &eax, &ebx, &ecx, &edx) == 0 ||
+      (ecx & bit_SSSE3) == 0 || (ecx & bit_SSE4_1) == 0) {
+    return nullptr;
+  }
+  if (__get_cpuid_count(7, 0, &eax, &ebx, &ecx, &edx) == 0 ||
+      (ebx & bit_SHA) == 0) {
+    return nullptr;
+  }
+  return ShaNi;
+#else
+  return nullptr;
+#endif
+}
+
+}  // namespace sha1_kernels
+
+Sha1::Sha1() : Sha1(sha1_kernels::Picked()) {}
+
+void Sha1::Reset() {
+  h_[0] = 0x67452301;
+  h_[1] = 0xEFCDAB89;
+  h_[2] = 0x98BADCFE;
+  h_[3] = 0x10325476;
+  h_[4] = 0xC3D2E1F0;
+  total_len_ = 0;
+  buffer_len_ = 0;
 }
 
 void Sha1::Update(const void* data, size_t len) {
@@ -179,14 +285,14 @@ void Sha1::Update(const void* data, size_t len) {
     p += take;
     len -= take;
     if (buffer_len_ == sizeof(buffer_)) {
-      ProcessBlock(buffer_);
+      compress_(h_, buffer_, 1);
       buffer_len_ = 0;
     }
   }
-  while (len >= 64) {
-    ProcessBlock(p);
-    p += 64;
-    len -= 64;
+  if (len >= 64) {
+    compress_(h_, p, len / 64);
+    p += len & ~size_t{63};
+    len &= 63;
   }
   if (len > 0) {
     std::memcpy(buffer_, p, len);
@@ -195,18 +301,15 @@ void Sha1::Update(const void* data, size_t len) {
 }
 
 Fingerprint Sha1::Finish() {
-  uint64_t bit_len = total_len_ * 8;
-  uint8_t pad = 0x80;
-  Update(&pad, 1);
-  uint8_t zero = 0;
-  // total_len_ is mutated by the padding Updates; bit_len was captured
-  // before so the length field is correct.
-  while (buffer_len_ != 56) Update(&zero, 1);
-  uint8_t len_be[8];
-  for (int i = 0; i < 8; ++i) {
-    len_be[i] = static_cast<uint8_t>(bit_len >> (56 - 8 * i));
+  // One Update pads to 56 mod 64 (0x80, then zeros) and appends the
+  // message length in bits, big-endian.
+  const uint64_t bit_len = total_len_ * 8;
+  uint8_t pad[72] = {0x80};
+  const size_t pad_len = 1 + (119 - buffer_len_) % 64;
+  for (size_t i = 0; i < 8; ++i) {
+    pad[pad_len + i] = static_cast<uint8_t>(bit_len >> (56 - 8 * i));
   }
-  Update(len_be, 8);
+  Update(pad, pad_len + 8);
 
   Fingerprint fp;
   for (int i = 0; i < 5; ++i) StoreBe32(fp.data() + 4 * i, h_[i]);
@@ -215,127 +318,6 @@ Fingerprint Sha1::Finish() {
 
 Fingerprint Sha1::Hash(const void* data, size_t len) {
   Sha1 h;
-  h.Update(data, len);
-  return h.Finish();
-}
-
-// ---------------------------------------------------------------------------
-// SHA-256
-// ---------------------------------------------------------------------------
-
-namespace {
-constexpr uint32_t kSha256K[64] = {
-    0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1,
-    0x923f82a4, 0xab1c5ed5, 0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3,
-    0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174, 0xe49b69c1, 0xefbe4786,
-    0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
-    0x983e5152, 0xa831c66d, 0xb00327c8, 0xbf597fc7, 0xc6e00bf3, 0xd5a79147,
-    0x06ca6351, 0x14292967, 0x27b70a85, 0x2e1b2138, 0x4d2c6dfc, 0x53380d13,
-    0x650a7354, 0x766a0abb, 0x81c2c92e, 0x92722c85, 0xa2bfe8a1, 0xa81a664b,
-    0xc24b8b70, 0xc76c51a3, 0xd192e819, 0xd6990624, 0xf40e3585, 0x106aa070,
-    0x19a4c116, 0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a,
-    0x5b9cca4f, 0x682e6ff3, 0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208,
-    0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2,
-};
-}  // namespace
-
-void Sha256::Reset() {
-  h_[0] = 0x6a09e667;
-  h_[1] = 0xbb67ae85;
-  h_[2] = 0x3c6ef372;
-  h_[3] = 0xa54ff53a;
-  h_[4] = 0x510e527f;
-  h_[5] = 0x9b05688c;
-  h_[6] = 0x1f83d9ab;
-  h_[7] = 0x5be0cd19;
-  total_len_ = 0;
-  buffer_len_ = 0;
-}
-
-void Sha256::ProcessBlock(const uint8_t* block) {
-  uint32_t w[64];
-  for (int i = 0; i < 16; ++i) w[i] = LoadBe32(block + 4 * i);
-  for (int i = 16; i < 64; ++i) {
-    uint32_t s0 = RotR32(w[i - 15], 7) ^ RotR32(w[i - 15], 18) ^
-                  (w[i - 15] >> 3);
-    uint32_t s1 = RotR32(w[i - 2], 17) ^ RotR32(w[i - 2], 19) ^
-                  (w[i - 2] >> 10);
-    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-  }
-
-  uint32_t a = h_[0], b = h_[1], c = h_[2], d = h_[3];
-  uint32_t e = h_[4], f = h_[5], g = h_[6], h = h_[7];
-  for (int i = 0; i < 64; ++i) {
-    uint32_t s1 = RotR32(e, 6) ^ RotR32(e, 11) ^ RotR32(e, 25);
-    uint32_t ch = (e & f) ^ ((~e) & g);
-    uint32_t t1 = h + s1 + ch + kSha256K[i] + w[i];
-    uint32_t s0 = RotR32(a, 2) ^ RotR32(a, 13) ^ RotR32(a, 22);
-    uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-    uint32_t t2 = s0 + maj;
-    h = g;
-    g = f;
-    f = e;
-    e = d + t1;
-    d = c;
-    c = b;
-    b = a;
-    a = t1 + t2;
-  }
-  h_[0] += a;
-  h_[1] += b;
-  h_[2] += c;
-  h_[3] += d;
-  h_[4] += e;
-  h_[5] += f;
-  h_[6] += g;
-  h_[7] += h;
-}
-
-void Sha256::Update(const void* data, size_t len) {
-  const uint8_t* p = static_cast<const uint8_t*>(data);
-  total_len_ += len;
-  if (buffer_len_ > 0) {
-    size_t take = std::min(len, sizeof(buffer_) - buffer_len_);
-    std::memcpy(buffer_ + buffer_len_, p, take);
-    buffer_len_ += take;
-    p += take;
-    len -= take;
-    if (buffer_len_ == sizeof(buffer_)) {
-      ProcessBlock(buffer_);
-      buffer_len_ = 0;
-    }
-  }
-  while (len >= 64) {
-    ProcessBlock(p);
-    p += 64;
-    len -= 64;
-  }
-  if (len > 0) {
-    std::memcpy(buffer_, p, len);
-    buffer_len_ = len;
-  }
-}
-
-std::array<uint8_t, Sha256::kDigestSize> Sha256::Finish() {
-  uint64_t bit_len = total_len_ * 8;
-  uint8_t pad = 0x80;
-  Update(&pad, 1);
-  uint8_t zero = 0;
-  while (buffer_len_ != 56) Update(&zero, 1);
-  uint8_t len_be[8];
-  for (int i = 0; i < 8; ++i) {
-    len_be[i] = static_cast<uint8_t>(bit_len >> (56 - 8 * i));
-  }
-  Update(len_be, 8);
-
-  std::array<uint8_t, kDigestSize> digest;
-  for (int i = 0; i < 8; ++i) StoreBe32(digest.data() + 4 * i, h_[i]);
-  return digest;
-}
-
-std::array<uint8_t, Sha256::kDigestSize> Sha256::Hash(const void* data,
-                                                      size_t len) {
-  Sha256 h;
   h.Update(data, len);
   return h.Finish();
 }

@@ -80,7 +80,13 @@ struct FingerprintHash {
 /// resistance against accidental collisions.
 class Sha1 {
  public:
-  Sha1() { Reset(); }
+  /// Folds `nblocks` consecutive 64-byte blocks into the five-word state.
+  using Compress = void (*)(uint32_t* state, const uint8_t* blocks,
+                            size_t nblocks);
+
+  /// Compresses with SHA-NI when CPUID reports it, else with the portable
+  /// code; both give the same digest (common/sha1_kernels.h).
+  Sha1();
 
   void Reset();
   void Update(const void* data, size_t len);
@@ -94,33 +100,12 @@ class Sha1 {
     return Hash(data.data(), data.size());
   }
 
- private:
-  void ProcessBlock(const uint8_t* block);
+ protected:
+  explicit Sha1(Compress compress) : compress_(compress) { Reset(); }
 
+ private:
+  Compress compress_;
   uint32_t h_[5];
-  uint64_t total_len_;
-  uint8_t buffer_[64];
-  size_t buffer_len_;
-};
-
-/// Incremental SHA-256 (FIPS 180-4). Provided for users who want a
-/// stronger fingerprint; 32-byte digest returned as hex.
-class Sha256 {
- public:
-  static constexpr size_t kDigestSize = 32;
-
-  Sha256() { Reset(); }
-
-  void Reset();
-  void Update(const void* data, size_t len);
-  std::array<uint8_t, kDigestSize> Finish();
-
-  static std::array<uint8_t, kDigestSize> Hash(const void* data, size_t len);
-
- private:
-  void ProcessBlock(const uint8_t* block);
-
-  uint32_t h_[8];
   uint64_t total_len_;
   uint8_t buffer_[64];
   size_t buffer_len_;

@@ -5,7 +5,13 @@
 
 #include "common/coding.h"
 #include "common/macros.h"
+#include "durability/crc32c_kernels.h"
 #include "obs/metrics.h"
+
+#if defined(__x86_64__)
+#include <cpuid.h>
+#include <nmmintrin.h>
+#endif
 
 namespace slim::durability {
 
@@ -78,7 +84,29 @@ const char* ComponentName(Component component) {
   return "other";
 }
 
-uint32_t Crc32cExtend(uint32_t crc, const void* data, size_t len) {
+namespace crc32c_kernels {
+namespace {
+
+#if defined(__x86_64__)
+__attribute__((target("sse4.2"))) uint32_t Sse42(uint32_t crc,
+                                                 const void* data,
+                                                 size_t len) {
+  const uint8_t* p = static_cast<const uint8_t*>(data);
+  uint64_t crc64 = ~crc;
+  for (; len >= 8; len -= 8, p += 8) {
+    uint64_t word = 0;
+    std::memcpy(&word, p, sizeof(word));
+    crc64 = _mm_crc32_u64(crc64, word);
+  }
+  uint32_t crc32 = static_cast<uint32_t>(crc64);
+  for (; len > 0; --len, ++p) crc32 = _mm_crc32_u8(crc32, *p);
+  return ~crc32;
+}
+#endif
+
+}  // namespace
+
+uint32_t Portable(uint32_t crc, const void* data, size_t len) {
   const auto& table = Crc32cTable();
   const uint8_t* p = static_cast<const uint8_t*>(data);
   crc = ~crc;
@@ -86,6 +114,27 @@ uint32_t Crc32cExtend(uint32_t crc, const void* data, size_t len) {
     crc = table[(crc ^ p[i]) & 0xffu] ^ (crc >> 8);
   }
   return ~crc;
+}
+
+Extend Hardware() {
+#if defined(__x86_64__)
+  unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
+  if (__get_cpuid(1, &eax, &ebx, &ecx, &edx) != 0 &&
+      (ecx & bit_SSE4_2) != 0) {
+    return Sse42;
+  }
+#endif
+  return nullptr;
+}
+
+}  // namespace crc32c_kernels
+
+uint32_t Crc32cExtend(uint32_t crc, const void* data, size_t len) {
+  static const crc32c_kernels::Extend extend = [] {
+    crc32c_kernels::Extend hardware = crc32c_kernels::Hardware();
+    return hardware != nullptr ? hardware : crc32c_kernels::Portable;
+  }();
+  return extend(crc, data, len);
 }
 
 uint32_t Crc32c(const void* data, size_t len) {

@@ -21,7 +21,9 @@ inline uint32_t Crc32c(std::string_view data) {
   return Crc32c(data.data(), data.size());
 }
 /// Incremental form: `crc` is the value returned by a previous call (or
-/// 0 for the first block).
+/// 0 for the first block). Runs the SSE4.2 `crc32` instruction when
+/// CPUID reports it, else a table loop; both give the same value
+/// (durability/crc32c_kernels.h).
 uint32_t Crc32cExtend(uint32_t crc, const void* data, size_t len);
 
 /// Which durable object family a checksum verification is for. Used to

@@ -19,6 +19,22 @@ namespace {
 //                   varint value_len, value }
 constexpr uint32_t kTombstoneFlag = 1;
 
+/// A key as error messages show it: printable keys as they are, others
+/// (the global index's raw 20-byte fingerprints) as lowercase hex.
+std::string PrintableKey(const std::string& key) {
+  if (std::all_of(key.begin(), key.end(),
+                  [](char c) { return c >= 0x20 && c < 0x7f; })) {
+    return key;
+  }
+  static constexpr char kHex[] = "0123456789abcdef";
+  std::string hex;
+  for (unsigned char c : key) {
+    hex += kHex[c >> 4];
+    hex += kHex[c & 0xf];
+  }
+  return hex;
+}
+
 void BloomAdd(std::vector<uint64_t>* bits, uint32_t hashes,
               const std::string& key) {
   if (bits->empty()) return;
@@ -141,7 +157,9 @@ Result<std::string> RocksOss::Get(const std::string& key) {
   MutexLock lock(mu_);
   auto it = memtable_.find(key);
   if (it != memtable_.end()) {
-    if (!it->second.has_value()) return Status::NotFound("tombstoned: " + key);
+    if (!it->second.has_value()) {
+      return Status::NotFound("tombstoned: " + PrintableKey(key));
+    }
     return *it->second;
   }
   // Newest run first. A bloom pass that the run then fails to satisfy
@@ -159,13 +177,13 @@ Result<std::string> RocksOss::Get(const std::string& key) {
     if (eit != entries.value()->end()) {
       metrics_.bloom_true_positives->Inc();
       if (!eit->second.has_value()) {
-        return Status::NotFound("tombstoned: " + key);
+        return Status::NotFound("tombstoned: " + PrintableKey(key));
       }
       return *eit->second;
     }
     metrics_.bloom_false_positives->Inc();
   }
-  return Status::NotFound("key: " + key);
+  return Status::NotFound("key: " + PrintableKey(key));
 }
 
 Result<std::vector<std::pair<std::string, std::string>>> RocksOss::Scan(

@@ -9,6 +9,7 @@
 #include "common/hash.h"
 #include "common/macros.h"
 #include "common/rng.h"
+#include "common/sha1_kernels.h"
 #include "common/status.h"
 #include "common/stopwatch.h"
 #include "common/thread_pool.h"
@@ -81,7 +82,7 @@ TEST(ResultTest, AssignOrReturnMacro) {
 }
 
 // ---------------------------------------------------------------------------
-// SHA-1 / SHA-256 known-answer tests (FIPS vectors)
+// SHA-1 known-answer tests (FIPS 180-1 vectors)
 // ---------------------------------------------------------------------------
 
 TEST(Sha1Test, EmptyString) {
@@ -123,26 +124,63 @@ TEST(Sha1Test, IncrementalMatchesOneShot) {
   EXPECT_EQ(h.Finish(), Sha1::Hash(data));
 }
 
-std::string ToHex32(const std::array<uint8_t, 32>& d) {
-  static const char* k = "0123456789abcdef";
-  std::string out;
-  for (uint8_t b : d) {
-    out += k[b >> 4];
-    out += k[b & 0xf];
+// ---------------------------------------------------------------------------
+// The SHA-NI kernel against the portable reference
+// ---------------------------------------------------------------------------
+
+class Sha1KernelTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    hardware_ = sha1_kernels::Hardware();
+    if (hardware_ == nullptr) GTEST_SKIP() << "CPU lacks SHA-NI";
+    data_ = Rng(31).RandomBytes((1 << 20) + 16);
   }
-  return out;
+
+  Fingerprint Hash(Sha1::Compress compress, size_t offset, size_t len) {
+    sha1_kernels::Sha1With h(compress);
+    h.Update(data_.data() + offset, len);
+    return h.Finish();
+  }
+
+  Sha1::Compress hardware_ = nullptr;
+  std::string data_;
+};
+
+TEST_F(Sha1KernelTest, EveryLengthTo4096) {
+  for (size_t len = 0; len <= 4096; ++len) {
+    ASSERT_EQ(Hash(hardware_, 0, len), Hash(sha1_kernels::Portable, 0, len))
+        << "length " << len;
+  }
 }
 
-TEST(Sha256Test, EmptyString) {
-  EXPECT_EQ(
-      ToHex32(Sha256::Hash("", 0)),
-      "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
+TEST_F(Sha1KernelTest, RandomLengthsTo1MiB) {
+  Rng rng(32);
+  for (int i = 0; i < 32; ++i) {
+    const size_t len = rng.Uniform((1 << 20) + 1);
+    ASSERT_EQ(Hash(hardware_, 0, len), Hash(sha1_kernels::Portable, 0, len))
+        << "length " << len;
+  }
 }
 
-TEST(Sha256Test, Abc) {
-  EXPECT_EQ(
-      ToHex32(Sha256::Hash("abc", 3)),
-      "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+TEST_F(Sha1KernelTest, StartOffsets0To15) {
+  for (size_t offset = 0; offset < 16; ++offset) {
+    for (size_t len = 0; len <= 300; ++len) {
+      ASSERT_EQ(Hash(hardware_, offset, len),
+                Hash(sha1_kernels::Portable, offset, len))
+          << "offset " << offset << " length " << len;
+    }
+  }
+}
+
+TEST_F(Sha1KernelTest, EverySplitOfTwoUpdates) {
+  constexpr size_t kLen = 1031;
+  const Fingerprint want = Hash(sha1_kernels::Portable, 0, kLen);
+  for (size_t split = 0; split <= kLen; ++split) {
+    sha1_kernels::Sha1With h(hardware_);
+    h.Update(data_.data(), split);
+    h.Update(data_.data() + split, kLen - split);
+    ASSERT_EQ(h.Finish(), want) << "split " << split;
+  }
 }
 
 TEST(FingerprintTest, HexRoundTrip) {

@@ -10,8 +10,10 @@
 #include <string>
 #include <vector>
 
+#include "common/rng.h"
 #include "durability/checksum.h"
 #include "durability/checksumming_object_store.h"
+#include "durability/crc32c_kernels.h"
 #include "durability/parity.h"
 #include "durability/placement.h"
 #include "durability/replicating_object_store.h"
@@ -37,6 +39,58 @@ TEST(Crc32cTest, IncrementalMatchesOneShot) {
     uint32_t crc = Crc32cExtend(0, data.data(), split);
     crc = Crc32cExtend(crc, data.data() + split, data.size() - split);
     EXPECT_EQ(crc, Crc32c(data)) << "split at " << split;
+  }
+}
+
+// The SSE4.2 kernel against the portable reference.
+class Crc32cKernelTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    hardware_ = crc32c_kernels::Hardware();
+    if (hardware_ == nullptr) GTEST_SKIP() << "CPU lacks SSE4.2";
+    data_ = Rng(41).RandomBytes((1 << 20) + 16);
+  }
+
+  crc32c_kernels::Extend hardware_ = nullptr;
+  std::string data_;
+};
+
+TEST_F(Crc32cKernelTest, EveryLengthTo4096) {
+  for (size_t len = 0; len <= 4096; ++len) {
+    ASSERT_EQ(hardware_(0, data_.data(), len),
+              crc32c_kernels::Portable(0, data_.data(), len))
+        << "length " << len;
+  }
+}
+
+TEST_F(Crc32cKernelTest, RandomLengthsTo1MiB) {
+  Rng rng(42);
+  for (int i = 0; i < 32; ++i) {
+    const size_t len = rng.Uniform((1 << 20) + 1);
+    ASSERT_EQ(hardware_(0, data_.data(), len),
+              crc32c_kernels::Portable(0, data_.data(), len))
+        << "length " << len;
+  }
+}
+
+TEST_F(Crc32cKernelTest, StartOffsets0To15) {
+  for (size_t offset = 0; offset < 16; ++offset) {
+    for (size_t len = 0; len <= 300; ++len) {
+      const char* p = data_.data() + offset;
+      ASSERT_EQ(hardware_(0x9e3779b9u, p, len),
+                crc32c_kernels::Portable(0x9e3779b9u, p, len))
+          << "offset " << offset << " length " << len;
+    }
+  }
+}
+
+TEST_F(Crc32cKernelTest, EverySplitOfTwoCalls) {
+  constexpr size_t kLen = 1031;
+  const uint32_t want = crc32c_kernels::Portable(0, data_.data(), kLen);
+  for (size_t split = 0; split <= kLen; ++split) {
+    const uint32_t head = hardware_(0, data_.data(), split);
+    ASSERT_EQ(hardware_(head, data_.data() + split, kLen - split), want)
+        << "split " << split;
   }
 }
 

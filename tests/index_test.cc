@@ -195,6 +195,23 @@ TEST(GlobalIndexTest, PutGetDelete) {
   EXPECT_TRUE(gindex.Get(fp).status().IsNotFound());
 }
 
+TEST(GlobalIndexTest, NotFoundNamesTheFingerprintInHex) {
+  oss::MemoryObjectStore store;
+  GlobalIndex gindex(&store, "g");
+  Fingerprint fp = FpOf("deleted");
+  ASSERT_TRUE(gindex.Put(fp, 7).ok());
+  ASSERT_TRUE(gindex.Delete(fp).ok());
+  // The tombstone in the memtable, then in a flushed run.
+  EXPECT_NE(gindex.Get(fp).status().message().find(fp.ToHex()),
+            std::string::npos);
+  ASSERT_TRUE(gindex.Flush().ok());
+  EXPECT_NE(gindex.Get(fp).status().message().find(fp.ToHex()),
+            std::string::npos);
+  Fingerprint absent = FpOf("absent");
+  EXPECT_NE(gindex.Get(absent).status().message().find(absent.ToHex()),
+            std::string::npos);
+}
+
 TEST(GlobalIndexTest, BloomPrefilter) {
   oss::MemoryObjectStore store;
   GlobalIndex gindex(&store, "g");

@@ -35,6 +35,9 @@ std::string ConfigName(const Config& c) {
   return name;
 }
 
+// Test names show the configuration, not the struct's raw bytes.
+void PrintTo(const Config& c, std::ostream* os) { *os << ConfigName(c); }
+
 class LifecyclePropertyTest : public ::testing::TestWithParam<Config> {};
 
 TEST_P(LifecyclePropertyTest, EveryVersionRestoresByteIdentical) {
