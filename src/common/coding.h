@@ -86,6 +86,16 @@ class Decoder {
     return Corrupt("varint64");
   }
 
+  /// Reads a varint entry count and rejects one that the bytes left
+  /// cannot hold at `min_entry_bytes` (> 0) per entry, so a corrupt
+  /// count fails here instead of in reserve().
+  Status ReadCount(uint64_t* n, size_t min_entry_bytes) {
+    Status s = ReadVarint64(n);
+    if (!s.ok()) return s;
+    if (*n > remaining() / min_entry_bytes) return Corrupt("entry count");
+    return Status::Ok();
+  }
+
   Status ReadLengthPrefixed(std::string_view* out) {
     uint64_t len = 0;
     Status s = ReadVarint64(&len);

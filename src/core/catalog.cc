@@ -18,7 +18,7 @@ void EncodeIds(std::string* out,
 
 Status DecodeIds(Decoder* dec, std::vector<format::ContainerId>* ids) {
   uint64_t count = 0;
-  SLIM_RETURN_IF_ERROR(dec->ReadVarint64(&count));
+  SLIM_RETURN_IF_ERROR(dec->ReadCount(&count, sizeof(uint64_t)));
   ids->clear();
   ids->reserve(count);
   for (uint64_t i = 0; i < count; ++i) {

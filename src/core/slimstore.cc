@@ -294,9 +294,10 @@ Result<GNodeCycleStats> SlimStore::RunGNodeCycle() {
       gnode::SparseContainerCompactor scc(&containers_, &recipes_,
                                           &global_index_, scc_options);
       std::vector<ContainerId> scc_new;
+      std::vector<ContainerId> referenced;
       auto scc_stats =
           scc.Compact(pending.file_id, pending.version,
-                      info->sparse_containers, &scc_new);
+                      info->sparse_containers, &scc_new, &referenced);
       if (!scc_stats.ok()) {
         scc_job.SetError(scc_stats.status().message());
         job.SetError(scc_stats.status().message());
@@ -310,21 +311,15 @@ Result<GNodeCycleStats> SlimStore::RunGNodeCycle() {
       // Refresh the catalog from durable state after EVERY successful
       // compaction call — including a pure no-op retry. An earlier,
       // interrupted cycle may have rewritten the recipe (or done the
-      // rewrite and then failed this very refresh), in which case the
+      // rewrite and then failed before this refresh), in which case the
       // stats of the convergent retry show no work at all, yet the
-      // in-memory referenced set is still pre-SCC. Unconditional
-      // refresh is safe: the recipe is the authority on what this
-      // version references, and a failed read must fail the cycle so a
-      // later retry redoes the refresh.
-      auto recipe = recipes_.ReadRecipe(pending.file_id, pending.version);
-      if (!recipe.ok()) {
-        scc_job.SetError(recipe.status().message());
-        job.SetError(recipe.status().message());
-        return recipe.status();
-      }
-      catalog_.SetReferenced(
-          pending.file_id, pending.version,
-          format::CollectReferencedContainers(recipe.value()));
+      // in-memory referenced set is still pre-SCC. Compact hands back
+      // the set of the recipe it read or committed, which is the
+      // durable recipe, the authority on what this version references.
+      // A failed Compact returned above, so a later retry redoes the
+      // refresh.
+      catalog_.SetReferenced(pending.file_id, pending.version,
+                             std::move(referenced));
       // Compacted sparse containers become garbage associated with
       // this version (§VI-B, category 2). After a successful Compact
       // the recipe no longer points into them. AddGarbage dedupes, so
@@ -401,8 +396,10 @@ Result<gnode::GcStats> SlimStore::DeleteVersion(const std::string& file_id,
   if (!result.ok()) return CloseJob(job, std::move(result));
   catalog_.Erase(file_id, version);
   // An unprocessed version's durable worklist dies with it
-  // (best-effort: rebuild treats a leftover as an orphan anyway).
-  pending_.Delete(file_id, version).IgnoreError();
+  // (best-effort: rebuild treats a leftover as an orphan anyway). A
+  // processed version's record was retired by its G-node pass, and
+  // Rebuild sets the flag from the durable records.
+  if (info->gnode_pending) pending_.Delete(file_id, version).IgnoreError();
   statcache_.Remove(file_id);
   return result;
 }

@@ -81,7 +81,8 @@ Result<ParityGroup> ParityManager::ReadGroup(uint64_t group) const {
   ParityGroup pg;
   SLIM_RETURN_IF_ERROR(dec.ReadFixed64(&pg.group));
   uint64_t count = 0;
-  SLIM_RETURN_IF_ERROR(dec.ReadVarint64(&count));
+  // Smallest member: an empty key's length byte, length and CRC.
+  SLIM_RETURN_IF_ERROR(dec.ReadCount(&count, 1 + 8 + 4));
   pg.members.reserve(count);
   for (uint64_t i = 0; i < count; ++i) {
     ParityMember member;

@@ -6,6 +6,9 @@ namespace slim::format {
 
 namespace {
 constexpr uint32_t kSuperchunkFlag = 1;
+// Smallest encoded ChunkRecord: fingerprint, container id, size,
+// duplicate times and flags of a plain chunk.
+constexpr size_t kMinChunkRecordBytes = Fingerprint::kSize + 20;
 }  // namespace
 
 void EncodeChunkRecord(std::string* dst, const ChunkRecord& record) {
@@ -37,7 +40,7 @@ Status DecodeChunkRecord(Decoder* dec, ChunkRecord* record) {
   if (record->is_superchunk) {
     SLIM_RETURN_IF_ERROR(dec->ReadFingerprint(&record->first_chunk_fp));
     uint64_t count = 0;
-    SLIM_RETURN_IF_ERROR(dec->ReadVarint64(&count));
+    SLIM_RETURN_IF_ERROR(dec->ReadCount(&count, kMinChunkRecordBytes));
     if (count > 0) {
       auto constituents = std::make_shared<std::vector<ChunkRecord>>();
       constituents->reserve(count);
@@ -65,7 +68,7 @@ void SegmentRecipe::Encode(std::string* dst) const {
 Status SegmentRecipe::Decode(std::string_view data, SegmentRecipe* out) {
   Decoder dec(data);
   uint64_t count = 0;
-  SLIM_RETURN_IF_ERROR(dec.ReadVarint64(&count));
+  SLIM_RETURN_IF_ERROR(dec.ReadCount(&count, kMinChunkRecordBytes));
   out->records.clear();
   out->records.reserve(count);
   for (uint64_t i = 0; i < count; ++i) {

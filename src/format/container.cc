@@ -12,6 +12,8 @@ namespace {
 constexpr uint32_t kMetaMagic = 0x534c4d31;     // "SLM1"
 constexpr uint32_t kPayloadMagic = 0x534c4432;  // "SLD2"
 constexpr uint32_t kDeletedFlag = 1;
+// Encoded ChunkLocation: fingerprint, offset, size, flags.
+constexpr size_t kChunkLocationBytes = Fingerprint::kSize + 12;
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -45,7 +47,7 @@ Status ContainerMeta::Decode(std::string_view data, ContainerMeta* out) {
   SLIM_RETURN_IF_ERROR(dec.ReadFixed64(&out->data_size));
   SLIM_RETURN_IF_ERROR(dec.ReadFixed64(&out->payload_checksum));
   uint64_t count = 0;
-  SLIM_RETURN_IF_ERROR(dec.ReadVarint64(&count));
+  SLIM_RETURN_IF_ERROR(dec.ReadCount(&count, kChunkLocationBytes));
   out->chunks.clear();
   out->chunks.reserve(count);
   for (uint64_t i = 0; i < count; ++i) {
@@ -260,19 +262,22 @@ Status ContainerStore::WriteMeta(const ContainerMeta& meta) {
                                    durability::Component::kContainerMeta);
 }
 
-Result<uint64_t> ContainerStore::CompactContainer(ContainerId id) {
-  auto meta = ReadMeta(id);
-  if (!meta.ok()) return meta.status();
-  auto loaded = ReadContainer(id);
-  if (!loaded.ok()) return loaded.status();
+Result<uint64_t> ContainerStore::CompactContainer(
+    const ContainerMeta& meta, const LoadedContainer* loaded) {
+  std::optional<LoadedContainer> fetched;
+  if (loaded == nullptr) {
+    auto read = ReadContainer(meta.id);
+    if (!read.ok()) return read.status();
+    loaded = &fetched.emplace(std::move(read).value());
+  }
 
-  uint64_t before = loaded.value().payload.size();
+  uint64_t before = loaded->payload.size();
   ContainerMeta compacted;
-  compacted.id = id;
+  compacted.id = meta.id;
   std::string payload;
-  for (const ChunkLocation& loc : meta.value().chunks) {
+  for (const ChunkLocation& loc : meta.chunks) {
     if (loc.deleted) continue;
-    auto bytes = loaded.value().GetChunk(loc.fp);
+    auto bytes = loaded->GetChunk(loc.fp);
     if (!bytes.has_value()) {
       return Status::Corruption("compaction: chunk missing from payload");
     }

@@ -137,9 +137,14 @@ class ContainerStore {
   /// Overwrites the meta object (tombstone updates).
   Status WriteMeta(const ContainerMeta& meta);
 
-  /// Rewrites the container without its tombstoned chunks; offsets are
-  /// recomputed and both objects replaced. Returns the reclaimed bytes.
-  Result<uint64_t> CompactContainer(ContainerId id);
+  /// Rewrites container `meta.id` without the chunks `meta` tombstones;
+  /// offsets are recomputed and both objects replaced. `meta` must be
+  /// the durable meta object, typically the one the caller just wrote.
+  /// `loaded` is the container's verified payload when the caller
+  /// already holds it; without it the payload is read here. Returns the
+  /// reclaimed bytes.
+  Result<uint64_t> CompactContainer(const ContainerMeta& meta,
+                                    const LoadedContainer* loaded = nullptr);
 
   /// Total chunk count of a container, served from an in-memory cache
   /// when possible (populated on writes and reads). Sparse-container

@@ -116,7 +116,8 @@ Status RecipeIndex::Decode(std::string_view data, RecipeIndex* out) {
   out->file_id = std::string(id);
   SLIM_RETURN_IF_ERROR(dec.ReadFixed64(&out->version));
   uint64_t count = 0;
-  SLIM_RETURN_IF_ERROR(dec.ReadVarint64(&count));
+  // Each entry: a sample fingerprint and its segment ordinal.
+  SLIM_RETURN_IF_ERROR(dec.ReadCount(&count, Fingerprint::kSize + 4));
   out->sample_to_segment.clear();
   out->sample_to_segment.reserve(count);
   for (uint64_t i = 0; i < count; ++i) {
@@ -290,7 +291,7 @@ Result<RecipeStore::Toc> RecipeStore::GetToc(const std::string& file_id,
   if (!object.ok()) return object.status();
   Decoder dec(object.value());
   uint64_t count = 0;
-  SLIM_RETURN_IF_ERROR(dec.ReadVarint64(&count));
+  SLIM_RETURN_IF_ERROR(dec.ReadCount(&count, 16));  // Offset, length.
   Toc toc;
   toc.ranges.reserve(count);
   for (uint64_t i = 0; i < count; ++i) {

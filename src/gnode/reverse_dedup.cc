@@ -79,7 +79,7 @@ Result<ReverseDedupStats> ReverseDeduplicator::ProcessNewContainers(
   for (auto& [cid, meta] : dirty_metas) {
     SLIM_RETURN_IF_ERROR(containers_->WriteMeta(meta));
     if (meta.DeletedFraction() > options_.rewrite_threshold) {
-      auto reclaimed = containers_->CompactContainer(cid);
+      auto reclaimed = containers_->CompactContainer(meta);
       if (!reclaimed.ok()) return reclaimed.status();
       stats.bytes_reclaimed += reclaimed.value();
       ++stats.containers_rewritten;

@@ -13,6 +13,7 @@ namespace slim::gnode {
 using format::ChunkRecord;
 using format::ContainerBuilder;
 using format::ContainerId;
+using format::ContainerMeta;
 
 // Failure-atomicity structure (exercised by the fault-injection sweep):
 //
@@ -29,10 +30,16 @@ using format::ContainerId;
 //      failure recomputes the remaining work from what it reads and
 //      finishes it, so repeated Compact calls converge to the same
 //      final layout as an uninterrupted run.
+//
+// Each object is read once per call: compaction reuses the payloads the
+// copy phase verified (up to kMaxRetainedPayloads) and the metas the
+// roll-forward read and wrote. Neither changes in between: the G-node
+// gate keeps every other writer of existing containers out.
 Result<SccStats> SparseContainerCompactor::Compact(
     const std::string& file_id, uint64_t version,
     const std::vector<ContainerId>& sparse_containers,
-    std::vector<ContainerId>* new_container_ids) {
+    std::vector<ContainerId>* new_container_ids,
+    std::vector<ContainerId>* referenced) {
   SccStats stats;
   if (sparse_containers.empty()) return stats;
   obs::Span span("gnode.scc.compact");
@@ -65,6 +72,8 @@ Result<SccStats> SparseContainerCompactor::Compact(
   // payloads and metas are NOT touched, so concurrent restores keep
   // working and a failure can be rolled back completely.
   std::unordered_map<Fingerprint, ContainerId> moved;
+  std::unordered_map<ContainerId, format::ContainerStore::LoadedContainer>
+      payloads;
   std::vector<ContainerId> created;
   std::optional<ContainerBuilder> builder;
   auto flush_builder = [&]() -> Status {
@@ -105,6 +114,9 @@ Result<SccStats> SparseContainerCompactor::Compact(
         moved[fp] = builder->id();
         ++stats.chunks_moved;
         stats.bytes_moved += bytes->size();
+      }
+      if (payloads.size() < kMaxRetainedPayloads) {
+        payloads.emplace(cid, std::move(loaded).value());
       }
     }
     return flush_builder();
@@ -160,6 +172,9 @@ Result<SccStats> SparseContainerCompactor::Compact(
                               created.end());
   }
   stats.new_containers += created.size();
+  if (referenced != nullptr) {
+    *referenced = format::CollectReferencedContainers(updated);
+  }
 
   // --- Roll-forward -----------------------------------------------------
   // Where does the (now durable) recipe place each chunk it references?
@@ -173,7 +188,7 @@ Result<SccStats> SparseContainerCompactor::Compact(
   // redirect the global index at the surviving copy, so older versions
   // chasing a moved chunk find it. Derived purely from recipe + metas:
   // a retry resumes here even when the copy phase had nothing to do.
-  std::vector<ContainerId> to_compact;
+  std::vector<ContainerMeta> to_compact;
   for (ContainerId cid : sources) {
     auto meta = containers_->ReadMeta(cid);
     if (!meta.ok()) return meta.status();
@@ -197,7 +212,9 @@ Result<SccStats> SparseContainerCompactor::Compact(
       SLIM_RETURN_IF_ERROR(containers_->WriteMeta(meta.value()));
       ++stats.sparse_containers_processed;
     }
-    if (meta.value().DeletedCount() > 0) to_compact.push_back(cid);
+    if (meta.value().DeletedCount() > 0) {
+      to_compact.push_back(std::move(meta).value());
+    }
   }
   if (global_index_ != nullptr) {
     SLIM_RETURN_IF_ERROR(global_index_->Flush());
@@ -206,8 +223,10 @@ Result<SccStats> SparseContainerCompactor::Compact(
   // Physically drop the tombstoned bytes. Only now that the new copies,
   // the updated recipe and the index redirects are all durable can a
   // chunk never be observed as both compacted-away and unredirected.
-  for (ContainerId cid : to_compact) {
-    auto reclaimed = containers_->CompactContainer(cid);
+  for (const ContainerMeta& meta : to_compact) {
+    auto held = payloads.find(meta.id);
+    auto reclaimed = containers_->CompactContainer(
+        meta, held == payloads.end() ? nullptr : &held->second);
     if (!reclaimed.ok()) return reclaimed.status();
     stats.bytes_reclaimed += reclaimed.value();
   }

@@ -48,6 +48,10 @@ struct SccStats {
 /// storage attributable to old versions shrinks over time (Fig 9b).
 class SparseContainerCompactor {
  public:
+  /// Source payloads the copy phase keeps for compaction (64 MiB at the
+  /// default 4 MiB capacity). Compaction reads any further source again.
+  static constexpr size_t kMaxRetainedPayloads = 16;
+
   SparseContainerCompactor(format::ContainerStore* containers,
                            format::RecipeStore* recipes,
                            index::GlobalIndex* global_index,
@@ -60,11 +64,14 @@ class SparseContainerCompactor {
   /// Compacts `sparse_containers` (from BackupStats::sparse_containers)
   /// for the given version. Appends ids of freshly written containers to
   /// `new_container_ids` if non-null (they join the version's container
-  /// set).
+  /// set). Unless `sparse_containers` is empty, sets `referenced` (if
+  /// non-null) to the containers the version's durable recipe — the one
+  /// read, or the one committed — references.
   Result<SccStats> Compact(
       const std::string& file_id, uint64_t version,
       const std::vector<format::ContainerId>& sparse_containers,
-      std::vector<format::ContainerId>* new_container_ids = nullptr);
+      std::vector<format::ContainerId>* new_container_ids = nullptr,
+      std::vector<format::ContainerId>* referenced = nullptr);
 
  private:
   format::ContainerStore* containers_;

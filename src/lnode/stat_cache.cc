@@ -75,7 +75,9 @@ Status StatCache::Load(oss::ObjectStore* store, const std::string& key) {
     return Status::Corruption("statcache: bad magic");
   }
   uint64_t count = 0;
-  SLIM_RETURN_IF_ERROR(dec.ReadVarint64(&count));
+  // Smallest entry: an empty file id's length byte, size, mtime, content
+  // fingerprint and version.
+  SLIM_RETURN_IF_ERROR(dec.ReadCount(&count, 1 + 24 + Fingerprint::kSize));
   decltype(entries_) loaded;
   loaded.reserve(count);
   for (uint64_t i = 0; i < count; ++i) {

@@ -272,6 +272,18 @@ TEST(CodingTest, TruncatedVarintFails) {
   EXPECT_TRUE(dec.ReadVarint64(&v).IsCorruption());
 }
 
+TEST(CodingTest, ReadCountRejectsCountsTheBytesCannotHold) {
+  std::string buf;
+  PutVarint64(&buf, 3);
+  buf.append(12, 'x');  // Room for 3 entries of 4 bytes, not of 5.
+  uint64_t n = 0;
+  Decoder fits(buf);
+  ASSERT_TRUE(fits.ReadCount(&n, 4).ok());
+  EXPECT_EQ(n, 3u);
+  Decoder too_many(buf);
+  EXPECT_TRUE(too_many.ReadCount(&n, 5).IsCorruption());
+}
+
 TEST(CodingTest, FingerprintRoundTrip) {
   Fingerprint fp = Sha1::Hash("fp");
   std::string buf;

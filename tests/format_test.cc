@@ -75,6 +75,51 @@ TEST(SegmentRecipeTest, DecodeRejectsTruncation) {
           .IsCorruption());
 }
 
+// A count of 2^58 claims far more entries than the bytes that follow
+// hold: decoding reports Corruption instead of reserving for them.
+constexpr uint64_t kHugeCount = uint64_t{1} << 58;
+
+TEST(DecodeCountTest, SegmentRecipeRejectsHugeCount) {
+  std::string buf;
+  PutVarint64(&buf, kHugeCount);
+  EncodeChunkRecord(&buf, MakeRecord("data", 1));
+  SegmentRecipe out;
+  EXPECT_TRUE(SegmentRecipe::Decode(buf, &out).IsCorruption());
+}
+
+TEST(DecodeCountTest, SuperchunkRejectsHugeConstituentCount) {
+  ChunkRecord sc = MakeRecord("span", kInvalidContainerId);
+  sc.is_superchunk = true;
+  SegmentRecipe seg;
+  seg.records.push_back(sc);
+  std::string buf;
+  seg.Encode(&buf);
+  buf.pop_back();  // The zero constituent count, the last field.
+  PutVarint64(&buf, kHugeCount);
+  SegmentRecipe out;
+  EXPECT_TRUE(SegmentRecipe::Decode(buf, &out).IsCorruption());
+}
+
+TEST(DecodeCountTest, ContainerMetaRejectsHugeCount) {
+  ContainerMeta meta;
+  meta.id = 1;
+  std::string buf = meta.Encode();
+  buf.pop_back();  // The zero chunk count, the last field.
+  PutVarint64(&buf, kHugeCount);
+  ContainerMeta out;
+  EXPECT_TRUE(ContainerMeta::Decode(buf, &out).IsCorruption());
+}
+
+TEST(DecodeCountTest, RecipeIndexRejectsHugeCount) {
+  RecipeIndex index;
+  index.file_id = "f";
+  std::string buf = index.Encode();
+  buf.pop_back();  // The zero sample count, the last field.
+  PutVarint64(&buf, kHugeCount);
+  RecipeIndex out;
+  EXPECT_TRUE(RecipeIndex::Decode(buf, &out).IsCorruption());
+}
+
 // ---------------------------------------------------------------------------
 // Container
 // ---------------------------------------------------------------------------
@@ -179,7 +224,7 @@ TEST_F(ContainerStoreTest, CompactDropsDeletedChunks) {
     if (c.fp == FpOf("dropme")) c.deleted = true;
   }
   ASSERT_TRUE(store_.WriteMeta(meta.value()).ok());
-  auto reclaimed = store_.CompactContainer(id);
+  auto reclaimed = store_.CompactContainer(meta.value());
   ASSERT_TRUE(reclaimed.ok());
   EXPECT_EQ(reclaimed.value(), 6u);  // strlen("dropme")
 

@@ -1,13 +1,19 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "core/slimstore.h"
 #include "gnode/reverse_dedup.h"
 #include "gnode/scc.h"
 #include "gnode/version_collector.h"
 #include "index/global_index.h"
 #include "oss/memory_object_store.h"
+#include "workload/generator.h"
 
 namespace slim::gnode {
 namespace {
@@ -380,6 +386,263 @@ TEST_F(GNodeUnitTest, MarkSweepHonorsSuperchunkConstituents) {
   ASSERT_TRUE(stats.ok());
   EXPECT_EQ(stats.value().containers_deleted, 0u);
   EXPECT_TRUE(containers_.Exists(via_constituent).value());
+}
+
+// ---------------------------------------------------------------------------
+// OSS traffic of a whole G-node cycle
+// ---------------------------------------------------------------------------
+
+/// Forwards every operation, and logs its kind and key between Record()
+/// and Stop().
+class RecordingObjectStore : public oss::ObjectStore {
+ public:
+  struct Op {
+    std::string kind;
+    std::string key;
+  };
+
+  explicit RecordingObjectStore(oss::ObjectStore* inner) : inner_(inner) {}
+
+  Status Put(const std::string& key, std::string value) override {
+    Log("put", key);
+    return inner_->Put(key, std::move(value));
+  }
+  Result<std::string> Get(const std::string& key) override {
+    Log("get", key);
+    return inner_->Get(key);
+  }
+  Result<std::string> GetRange(const std::string& key, uint64_t offset,
+                               uint64_t len) override {
+    Log("getrange", key);
+    return inner_->GetRange(key, offset, len);
+  }
+  Status Delete(const std::string& key) override {
+    Log("delete", key);
+    return inner_->Delete(key);
+  }
+  Result<bool> Exists(const std::string& key) override {
+    Log("exists", key);
+    return inner_->Exists(key);
+  }
+  Result<uint64_t> Size(const std::string& key) override {
+    Log("size", key);
+    return inner_->Size(key);
+  }
+  Result<std::vector<std::string>> List(const std::string& prefix) override {
+    Log("list", prefix);
+    return inner_->List(prefix);
+  }
+
+  /// Starts a fresh log.
+  void Record() {
+    std::lock_guard<std::mutex> lock(mu_);
+    ops_.clear();
+    recording_ = true;
+  }
+  /// Stops logging and returns the log.
+  std::vector<Op> Stop() {
+    std::lock_guard<std::mutex> lock(mu_);
+    recording_ = false;
+    return ops_;
+  }
+
+ private:
+  void Log(std::string_view kind, const std::string& key) {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (recording_) ops_.push_back({std::string(kind), key});
+  }
+
+  oss::ObjectStore* inner_;
+  std::mutex mu_;
+  bool recording_ = false;
+  std::vector<Op> ops_;
+};
+
+size_t CountOps(const std::vector<RecordingObjectStore::Op>& ops,
+                std::string_view kind, std::string_view key_part) {
+  return static_cast<size_t>(
+      std::count_if(ops.begin(), ops.end(), [&](const auto& op) {
+        return op.kind == kind && op.key.find(key_part) != std::string::npos;
+      }));
+}
+
+/// SlimStore with the crash-sweep options (8 KiB containers, sparse
+/// threshold 0.9), so a small file spans many containers and SCC has
+/// several sources. Reverse dedup is off: it reads and writes metas of
+/// its own, and these tests pin SCC's traffic.
+class GNodeCycleOssTest : public ::testing::Test {
+ protected:
+  GNodeCycleOssTest() : oss_(&mem_), slim_(&oss_, Options()) {}
+
+  static core::SlimStoreOptions Options() {
+    core::SlimStoreOptions options;
+    options.backup.container_capacity = 8 << 10;
+    options.backup.sparse_utilization_threshold = 0.9;
+    options.enable_reverse_dedup = false;
+    return options;
+  }
+
+  /// Backs up version 0 of "f" and runs its G-node pass, then backs up
+  /// version 1, whose pass is left pending. Version 1 changes one byte
+  /// every 12 KiB: that changes about one chunk in three, so version 0's
+  /// containers that hold several chunks turn sparse. Returns both
+  /// versions.
+  std::vector<std::string> BackUpTwoVersions(size_t size) {
+    workload::GeneratorOptions gopts;
+    gopts.base_size = size;
+    workload::VersionedFileGenerator gen(gopts);
+    std::vector<std::string> versions{gen.data(), gen.data()};
+    for (size_t pos = 6 << 10; pos < size; pos += 12 << 10) {
+      versions[1][pos] = static_cast<char>(versions[1][pos] ^ 0x5a);
+    }
+    EXPECT_TRUE(slim_.Backup("f", versions[0]).ok());
+    EXPECT_TRUE(slim_.RunGNodeCycle().ok());
+    EXPECT_TRUE(slim_.Backup("f", versions[1]).ok());
+    return versions;
+  }
+
+  /// Runs the G-node cycle over version 1 and checks its traffic: the
+  /// recipe and every source meta are read once, a source payload is
+  /// read once unless the copy phase read it past the retention cap, and
+  /// the PUTs keep SCC's write order. Returns the number of sources the
+  /// copy phase read.
+  size_t RunCycleAndCheckTraffic() {
+    auto info = slim_.catalog()->Get("f", 1);
+    EXPECT_TRUE(info.has_value());
+    if (!info.has_value()) return 0;
+    const std::vector<ContainerId> sources = info->sparse_containers;
+    EXPECT_GE(sources.size(), 2u);
+    const format::ContainerStore& cs = *slim_.container_store();
+    std::map<std::string, ContainerId> source_of;
+    for (ContainerId cid : sources) {
+      source_of[cs.DataObjectKey(cid)] = cid;
+      source_of[cs.MetaObjectKey(cid)] = cid;
+    }
+
+    oss_.Record();
+    auto cycle = slim_.RunGNodeCycle();
+    const auto ops = oss_.Stop();
+    EXPECT_TRUE(cycle.ok()) << cycle.status();
+    if (!cycle.ok()) return 0;
+    EXPECT_GT(cycle.value().scc.chunks_moved, 0u);
+
+    EXPECT_EQ(CountOps(ops, "get", "/recipes/recipe/"), 1u);
+    // The copy phase is everything before the recipe commit.
+    auto commit = std::find_if(ops.begin(), ops.end(), [](const auto& op) {
+      return op.kind == "put" &&
+             op.key.find("/recipes/") != std::string::npos;
+    });
+    EXPECT_NE(commit, ops.end());
+    std::vector<ContainerId> copy_reads;
+    for (auto it = ops.begin(); it != commit; ++it) {
+      if (it->kind == "get" && source_of.count(it->key) != 0 &&
+          it->key == cs.DataObjectKey(source_of.at(it->key))) {
+        copy_reads.push_back(source_of.at(it->key));
+      }
+    }
+    for (ContainerId cid : sources) {
+      EXPECT_EQ(CountOps(ops, "get", cs.MetaObjectKey(cid)), 1u)
+          << "meta of source " << cid;
+      auto pos = std::find(copy_reads.begin(), copy_reads.end(), cid);
+      bool past_cap =
+          pos != copy_reads.end() &&
+          static_cast<size_t>(pos - copy_reads.begin()) >=
+              SparseContainerCompactor::kMaxRetainedPayloads;
+      EXPECT_EQ(CountOps(ops, "get", cs.DataObjectKey(cid)),
+                past_cap ? 2u : 1u)
+          << "payload of source " << cid;
+    }
+
+    // Stage of each PUT, in the order SCC must write: 0 new container,
+    // 1 recipe objects (toc, index, recipe), 2 source tombstones, 3 the
+    // global index run, 4 compacted sources.
+    std::vector<int> stages;
+    std::map<ContainerId, bool> compacted;
+    for (const auto& op : ops) {
+      if (op.kind != "put") continue;
+      int stage = -1;
+      auto src = source_of.find(op.key);
+      if (src != source_of.end()) {
+        if (op.key == cs.DataObjectKey(src->second)) {
+          compacted[src->second] = true;
+        }
+        stage = compacted[src->second] ? 4 : 2;
+      } else if (op.key.find("/recipes/") != std::string::npos) {
+        stage = 1;
+      } else if (op.key.find("/gindex/") != std::string::npos) {
+        stage = 3;
+      } else if (op.key.find("/containers/") != std::string::npos) {
+        stage = 0;
+      }
+      EXPECT_NE(stage, -1) << "unexpected PUT " << op.key;
+      stages.push_back(stage);
+    }
+    EXPECT_TRUE(std::is_sorted(stages.begin(), stages.end()));
+    for (int stage = 0; stage <= 4; ++stage) {
+      EXPECT_NE(std::count(stages.begin(), stages.end(), stage), 0)
+          << "no PUT of stage " << stage;
+    }
+    return copy_reads.size();
+  }
+
+  void ExpectRestores(const std::vector<std::string>& versions) {
+    auto report = slim_.VerifyRepository();
+    ASSERT_TRUE(report.ok()) << report.status();
+    EXPECT_TRUE(report.value().ok())
+        << (report.value().problems.empty() ? ""
+                                            : report.value().problems[0]);
+    for (uint64_t v = 0; v < versions.size(); ++v) {
+      auto data = slim_.Restore("f", v);
+      ASSERT_TRUE(data.ok()) << data.status();
+      EXPECT_EQ(data.value(), versions[v]) << "version " << v;
+    }
+  }
+
+  oss::MemoryObjectStore mem_;
+  RecordingObjectStore oss_;
+  core::SlimStore slim_;
+};
+
+TEST_F(GNodeCycleOssTest, SccReadsEachObjectOnceAndKeepsWriteOrder) {
+  auto versions = BackUpTwoVersions(512 << 10);
+  size_t copy_reads = RunCycleAndCheckTraffic();
+  EXPECT_GE(copy_reads, 2u);
+  EXPECT_LE(copy_reads, SparseContainerCompactor::kMaxRetainedPayloads);
+  ExpectRestores(versions);
+}
+
+TEST_F(GNodeCycleOssTest, SccRereadsOnlySourcesPastTheRetentionCap) {
+  auto versions = BackUpTwoVersions(2 << 20);
+  const std::vector<ContainerId> sources =
+      slim_.catalog()->Get("f", 1)->sparse_containers;
+  size_t copy_reads = RunCycleAndCheckTraffic();
+  EXPECT_GT(copy_reads, SparseContainerCompactor::kMaxRetainedPayloads);
+  ExpectRestores(versions);
+  // Converged: every source, held or read again, is compacted.
+  for (ContainerId cid : sources) {
+    auto meta = slim_.container_store()->ReadMeta(cid);
+    ASSERT_TRUE(meta.ok()) << meta.status();
+    EXPECT_EQ(meta.value().DeletedCount(), 0u) << "source " << cid;
+  }
+}
+
+TEST_F(GNodeCycleOssTest, DeleteVersionRetiresPendingRecordOnlyIfUnprocessed) {
+  BackUpTwoVersions(512 << 10);
+  // Rebuild derives the pending flags from the durable records.
+  ASSERT_TRUE(slim_.Rebuild().ok());
+  ASSERT_TRUE(slim_.pending_store()->Exists("f", 1).value());
+
+  oss_.Record();
+  ASSERT_TRUE(slim_.DeleteVersion("f", 1).ok());
+  auto ops = oss_.Stop();
+  EXPECT_EQ(CountOps(ops, "delete", "/state/pending/"), 1u);
+  EXPECT_FALSE(slim_.pending_store()->Exists("f", 1).value());
+
+  // Version 0's pass already retired its record.
+  oss_.Record();
+  ASSERT_TRUE(slim_.DeleteVersion("f", 0).ok());
+  ops = oss_.Stop();
+  EXPECT_EQ(CountOps(ops, "delete", "/state/pending/"), 0u);
 }
 
 }  // namespace
